@@ -9,9 +9,9 @@
 #include "peac/Kernels.h"
 
 #include "observe/Metrics.h"
+#include "support/Hash.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace f90y;
 using namespace f90y::peac;
@@ -130,22 +130,7 @@ std::shared_ptr<const CompiledRoutine> translate(const Routine &R) {
 // Structural fingerprint (FNV-1a)
 //===----------------------------------------------------------------------===//
 
-struct Fnv1a {
-  uint64_t H = 1469598103934665603ull;
-  void bytes(const void *P, size_t N) {
-    const unsigned char *B = static_cast<const unsigned char *>(P);
-    for (size_t I = 0; I < N; ++I) {
-      H ^= B[I];
-      H *= 1099511628211ull;
-    }
-  }
-  void u64(uint64_t V) { bytes(&V, sizeof V); }
-  void f64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof Bits);
-    u64(Bits);
-  }
-};
+using support::Fnv1a;
 
 void hashOperand(Fnv1a &F, const Operand &O) {
   F.u64(static_cast<uint64_t>(O.K));
@@ -157,8 +142,7 @@ void hashOperand(Fnv1a &F, const Operand &O) {
 
 uint64_t fingerprint(const Routine &R) {
   Fnv1a F;
-  F.u64(R.Name.size());
-  F.bytes(R.Name.data(), R.Name.size());
+  F.str(R.Name);
   F.u64(R.NumPtrArgs);
   F.u64(R.NumScalarArgs);
   F.u64(R.NumSpillSlots);

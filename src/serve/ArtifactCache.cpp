@@ -6,37 +6,11 @@
 
 #include "serve/ArtifactCache.h"
 
-#include <cstring>
+#include "support/Hash.h"
 
 using namespace f90y;
 using namespace f90y::serve;
-
-namespace {
-
-/// FNV-1a, matching the routine-cache fingerprint style.
-struct Fnv1a {
-  uint64_t H = 1469598103934665603ull;
-  void bytes(const void *P, size_t N) {
-    const unsigned char *B = static_cast<const unsigned char *>(P);
-    for (size_t I = 0; I < N; ++I) {
-      H ^= B[I];
-      H *= 1099511628211ull;
-    }
-  }
-  void str(const std::string &S) {
-    uint64_t N = S.size();
-    bytes(&N, sizeof N);
-    bytes(S.data(), S.size());
-  }
-  void u64(uint64_t V) { bytes(&V, sizeof V); }
-  void f64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof Bits);
-    u64(Bits);
-  }
-};
-
-} // namespace
+using support::Fnv1a;
 
 ArtifactCache &ArtifactCache::process() {
   static ArtifactCache C;

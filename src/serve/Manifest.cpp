@@ -8,7 +8,9 @@
 
 #include "observe/Json.h"
 #include "support/FileIO.h"
+#include "support/StringUtil.h"
 
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -18,39 +20,56 @@ namespace js = f90y::observe::json;
 
 namespace {
 
-/// Strict numeric member read: JSON numbers only, non-negative integers.
-bool readU64(const js::Value &V, uint64_t &Out, std::string &Error,
-             const char *Key) {
-  if (!V.isNumber() || V.Num < 0 ||
-      V.Num != static_cast<double>(static_cast<uint64_t>(V.Num))) {
-    Error = std::string("'") + Key + "' must be a non-negative integer";
-    return false;
-  }
-  Out = static_cast<uint64_t>(V.Num);
+/// The text a manifest value hands to a setter; false, with \p Error
+/// naming the key, when its JSON kind is not \p Kind. An integral number
+/// renders as an integer ("64" for 64 and 64.0 alike); any other ("-3",
+/// "1.5", "1e+20") renders as written, for the strict decimal parse to
+/// reject.
+bool valueText(const js::Value &V, driver::ValueKind Kind,
+               const std::string &Name, std::string &Text,
+               std::string &Error) {
+  using VK = driver::ValueKind;
+  if (Kind == VK::String && V.isString())
+    Text = V.Str;
+  else if (Kind == VK::Bool && V.K == js::Value::Kind::Bool)
+    Text = V.B ? "true" : "false";
+  else if (Kind == VK::Number && V.isNumber())
+    Text = V.Num >= 0 && V.Num < 0x1p64 && V.Num == std::floor(V.Num)
+               ? std::to_string(static_cast<uint64_t>(V.Num))
+               : formatDouble(V.Num);
+  else
+    return Error = Name + " must be " +
+                   (Kind == VK::String ? "a string"
+                    : Kind == VK::Bool ? "a boolean"
+                                       : "a number"),
+           false;
   return true;
 }
 
-bool readCount(const js::Value &V, unsigned &Out, std::string &Error,
-               const char *Key) {
-  uint64_t U = 0;
-  if (!readU64(V, U, Error, Key))
-    return false;
-  if (U == 0 || U > 0xffffffffull) {
-    Error = std::string("'") + Key + "' must be a positive count";
-    return false;
-  }
-  Out = static_cast<unsigned>(U);
-  return true;
+/// A serve-only numeric key, through the same strict decimal parse.
+bool readNumber(const js::Value &V, const std::string &Name, uint64_t Max,
+                uint64_t &Out, std::string &Error) {
+  std::string Text;
+  return valueText(V, driver::ValueKind::Number, Name, Text, Error) &&
+         parseDecimal("", Name, Text, Out, Error, 0, Max);
 }
 
 /// Parses one manifest job object into \p Job; false with Error on any
 /// malformed or unknown member (strict, matching the f90yc flag
 /// philosophy: silent acceptance hides typos behind valid-looking jobs).
+/// The run settings go through the run-configuration table; only the
+/// serve-only keys are handled here.
 bool parseJobObject(const js::Value &Obj, const std::string &BaseDir,
                     JobSpec &Job, std::string &Error) {
   bool HaveSource = false, HavePath = false;
   for (const auto &[Key, V] : Obj.Obj) {
-    if (Key == "id") {
+    const std::string Name = "'" + Key + "'";
+    if (const driver::RunConfigKey *K = driver::findRunConfigKey(Key)) {
+      std::string Text;
+      if (!valueText(V, K->Kind, Name, Text, Error) ||
+          !K->Set(Job.Run, Text, Name, Error))
+        return false;
+    } else if (Key == "id") {
       if (!V.isString() || V.Str.empty())
         return Error = "'id' must be a non-empty string", false;
       Job.Id = V.Str;
@@ -64,74 +83,13 @@ bool parseJobObject(const js::Value &Obj, const std::string &BaseDir,
         return Error = "'source_path' must be a non-empty string", false;
       Job.SourcePath = V.Str;
       HavePath = true;
-    } else if (Key == "profile") {
-      if (V.Str == "f90y")
-        Job.Prof = driver::Profile::F90Y;
-      else if (V.Str == "cmf")
-        Job.Prof = driver::Profile::CMFStyle;
-      else if (V.Str == "naive")
-        Job.Prof = driver::Profile::Naive;
-      else
-        return Error = "'profile' must be f90y|cmf|naive", false;
-    } else if (Key == "cm5") {
-      if (V.K != js::Value::Kind::Bool)
-        return Error = "'cm5' must be a boolean", false;
-      Job.Cm5 = V.B;
-    } else if (Key == "pes") {
-      if (!readCount(V, Job.Pes, Error, "pes"))
-        return false;
-    } else if (Key == "threads") {
-      if (!readCount(V, Job.Threads, Error, "threads"))
-        return false;
-    } else if (Key == "exec") {
-      if (V.Str == "compiled")
-        Job.Engine = peac::EngineKind::Compiled;
-      else if (V.Str == "interp")
-        Job.Engine = peac::EngineKind::Interp;
-      else
-        return Error = "'exec' must be compiled|interp", false;
-    } else if (Key == "comm") {
-      if (V.Str == "overlap")
-        Job.OverlapComm = true;
-      else if (V.Str == "sync")
-        Job.OverlapComm = false;
-      else
-        return Error = "'comm' must be overlap|sync", false;
-    } else if (Key == "fuse") {
-      if (V.Str == "on")
-        Job.Fuse = true;
-      else if (V.Str == "off")
-        Job.Fuse = false;
-      else
-        return Error = "'fuse' must be on|off", false;
-    } else if (Key == "layout") {
-      if (V.Str == "infer")
-        Job.LayoutInfer = true;
-      else if (V.Str == "canonical")
-        Job.LayoutInfer = false;
-      else
-        return Error = "'layout' must be infer|canonical", false;
-    } else if (Key == "faults") {
-      if (!V.isString())
-        return Error = "'faults' must be a spec string", false;
-      std::string SpecError;
-      if (!support::FaultSpec::parse(V.Str, Job.Faults, SpecError))
-        return Error = "'faults': " + SpecError, false;
-    } else if (Key == "fault_seed") {
-      if (!readU64(V, Job.FaultSeed, Error, "fault_seed"))
-        return false;
-    } else if (Key == "max_steps") {
-      if (!readU64(V, Job.MaxSteps, Error, "max_steps"))
-        return false;
     } else if (Key == "deadline_ms") {
-      if (!readU64(V, Job.DeadlineMs, Error, "deadline_ms"))
+      if (!readNumber(V, Name, UINT64_MAX, Job.DeadlineMs, Error))
         return false;
     } else if (Key == "retries") {
       uint64_t R = 0;
-      if (!readU64(V, R, Error, "retries"))
+      if (!readNumber(V, Name, 16, R, Error))
         return false;
-      if (R > 16)
-        return Error = "'retries' must be at most 16", false;
       Job.Retries = static_cast<unsigned>(R);
     } else {
       return Error = "unknown manifest key '" + Key + "'", false;

@@ -50,6 +50,7 @@ struct FaultSpec {
 
   double prob(FaultKind K) const { return Prob[static_cast<unsigned>(K)]; }
   bool any() const;
+  bool operator==(const FaultSpec &O) const = default;
 
   /// Parses \p Text; false (with \p Error set) on a malformed spec.
   static bool parse(const std::string &Text, FaultSpec &Out,

@@ -7,6 +7,7 @@
 #include "support/StringUtil.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 using namespace f90y;
@@ -60,4 +61,24 @@ bool f90y::isDigits(std::string_view S) {
     if (!std::isdigit(static_cast<unsigned char>(C)))
       return false;
   return true;
+}
+
+bool f90y::parseDecimal(std::string_view Tool, std::string_view Flag,
+                        std::string_view Text, uint64_t &Out,
+                        std::string &Error, uint64_t Min, uint64_t Max) {
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  const auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (isDigits(Text) && Ec == std::errc() && Ptr == End && V >= Min &&
+      V <= Max) {
+    Out = V;
+    return true;
+  }
+  Error = Tool.empty() ? "" : std::string(Tool) + ": ";
+  Error += std::string(Flag) + " must be ";
+  Error += Min == 0 ? "a non-negative integer" : "a positive integer";
+  if (Max != std::numeric_limits<uint64_t>::max())
+    Error += " no greater than " + std::to_string(Max);
+  Error += ", got '" + std::string(Text) + "'";
+  return false;
 }

@@ -40,6 +40,14 @@ struct GeometryCase {
   int64_t PEs;
 };
 
+// Names each case by its values (e.g. "13x9_pe8") so test names are stable;
+// gtest's default byte dump would include the vector's heap address.
+void PrintTo(const GeometryCase &C, std::ostream *OS) {
+  for (size_t D = 0; D < C.Extents.size(); ++D)
+    *OS << (D ? "x" : "") << C.Extents[D];
+  *OS << "_pe" << C.PEs;
+}
+
 class GeometryProperty : public ::testing::TestWithParam<GeometryCase> {};
 
 TEST_P(GeometryProperty, LocateCoordOfRoundTrip) {
@@ -106,6 +114,12 @@ struct ShiftCase {
   int64_t Shift;
   unsigned PEs;
 };
+
+// Names each case by its values; a byte dump would show the padding bytes.
+void PrintTo(const ShiftCase &C, std::ostream *OS) {
+  *OS << "n" << C.N << "_dim" << C.Dim << "_shift" << C.Shift << "_pe"
+      << C.PEs;
+}
 
 class ShiftProperty : public ::testing::TestWithParam<ShiftCase> {};
 

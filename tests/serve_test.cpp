@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -58,17 +59,17 @@ TEST(Manifest, ParsesJobsSkipsCommentsAndBlanks) {
   EXPECT_TRUE(Jobs[0].Valid);
   EXPECT_EQ(Jobs[0].Id, "a");
   EXPECT_EQ(Jobs[0].Source, "x");
-  EXPECT_EQ(Jobs[0].Threads, 1u) << "serve jobs default to 1 host thread";
+  EXPECT_EQ(Jobs[0].Run.Threads, 1u) << "serve jobs default to 1 host thread";
   EXPECT_TRUE(Jobs[1].Valid);
   EXPECT_EQ(Jobs[1].Id, "job2") << "ids default to the manifest ordinal";
-  EXPECT_EQ(Jobs[1].Prof, driver::Profile::CMFStyle);
-  EXPECT_EQ(Jobs[1].Pes, 64u);
-  EXPECT_TRUE(Jobs[1].Cm5);
-  EXPECT_EQ(Jobs[1].Engine, peac::EngineKind::Interp);
-  EXPECT_FALSE(Jobs[1].OverlapComm);
+  EXPECT_EQ(Jobs[1].Run.Prof, driver::Profile::CMFStyle);
+  EXPECT_EQ(Jobs[1].Run.Pes, 64u);
+  EXPECT_TRUE(Jobs[1].Run.Cm5);
+  EXPECT_EQ(Jobs[1].Run.Engine, peac::EngineKind::Interp);
+  EXPECT_FALSE(Jobs[1].Run.OverlapComm);
   EXPECT_EQ(Jobs[1].Retries, 2u);
-  EXPECT_EQ(Jobs[1].FaultSeed, 7u);
-  EXPECT_EQ(Jobs[1].MaxSteps, 100u);
+  EXPECT_EQ(Jobs[1].Run.FaultSeed, 7u);
+  EXPECT_EQ(Jobs[1].Run.MaxSteps, 100u);
 }
 
 TEST(Manifest, RejectsMalformedLinesWithoutKillingTheBatch) {
@@ -94,6 +95,37 @@ TEST(Manifest, RejectsMalformedLinesWithoutKillingTheBatch) {
   EXPECT_NE(Jobs[5].ParseError.find("wallclock"), std::string::npos);
 }
 
+/// The compile options f90yc builds for -profile=NAME with no -fuse= or
+/// -layout=: the profile's own, then its -comm=overlap default.
+driver::CompileOptions f90ycOptions(driver::Profile P) {
+  auto O = driver::CompileOptions::forProfile(P);
+  O.Transforms.CommSchedule = true;
+  return O;
+}
+
+const std::pair<const char *, driver::Profile> AllProfiles[] = {
+    {"f90y", driver::Profile::F90Y},
+    {"cmf", driver::Profile::CMFStyle},
+    {"naive", driver::Profile::Naive}};
+
+/// A job that leaves \p Key unset keeps each profile's own default: its
+/// compile options fingerprint equal to f90yc's for that profile.
+void expectUnsetKeyKeepsProfileDefaults(const std::string &Key) {
+  for (const auto &[Name, Prof] : AllProfiles) {
+    auto Jobs = parseManifest(std::string("{\"source\":\"x\",\"profile\":\"") +
+                                  Name + "\"}\n",
+                              "");
+    ASSERT_EQ(Jobs.size(), 1u);
+    ASSERT_TRUE(Jobs[0].Valid) << Jobs[0].ParseError;
+    EXPECT_FALSE(Key == "fuse" ? Jobs[0].Run.Fuse.has_value()
+                               : Jobs[0].Run.LayoutInfer.has_value())
+        << Name;
+    EXPECT_EQ(ArtifactCache::fingerprint("x", Jobs[0].Run.compileOptions()),
+              ArtifactCache::fingerprint("x", f90ycOptions(Prof)))
+        << Key << " unset under profile " << Name;
+  }
+}
+
 TEST(Manifest, ParsesFuseKeyAndRejectsBadValues) {
   const std::string Text =
       "{\"id\":\"on\",\"source\":\"x\",\"fuse\":\"on\"}\n"
@@ -103,14 +135,16 @@ TEST(Manifest, ParsesFuseKeyAndRejectsBadValues) {
   auto Jobs = parseManifest(Text, "");
   ASSERT_EQ(Jobs.size(), 4u);
   EXPECT_TRUE(Jobs[0].Valid);
-  EXPECT_TRUE(Jobs[0].Fuse);
+  EXPECT_EQ(Jobs[0].Run.Fuse, std::optional<bool>(true));
   EXPECT_TRUE(Jobs[1].Valid);
-  EXPECT_FALSE(Jobs[1].Fuse);
+  EXPECT_EQ(Jobs[1].Run.Fuse, std::optional<bool>(false));
   EXPECT_TRUE(Jobs[2].Valid);
-  EXPECT_TRUE(Jobs[2].Fuse) << "fusion defaults to on, like f90yc";
+  EXPECT_FALSE(Jobs[2].Run.Fuse.has_value())
+      << "an unset fuse key leaves the profile's default in place";
   EXPECT_FALSE(Jobs[3].Valid);
   EXPECT_NE(Jobs[3].ParseError.find("fuse"), std::string::npos)
       << Jobs[3].ParseError;
+  expectUnsetKeyKeepsProfileDefaults("fuse");
 }
 
 TEST(Manifest, ParsesLayoutKeyAndRejectsBadValues) {
@@ -122,14 +156,16 @@ TEST(Manifest, ParsesLayoutKeyAndRejectsBadValues) {
   auto Jobs = parseManifest(Text, "");
   ASSERT_EQ(Jobs.size(), 4u);
   EXPECT_TRUE(Jobs[0].Valid);
-  EXPECT_TRUE(Jobs[0].LayoutInfer);
+  EXPECT_EQ(Jobs[0].Run.LayoutInfer, std::optional<bool>(true));
   EXPECT_TRUE(Jobs[1].Valid);
-  EXPECT_FALSE(Jobs[1].LayoutInfer);
+  EXPECT_EQ(Jobs[1].Run.LayoutInfer, std::optional<bool>(false));
   EXPECT_TRUE(Jobs[2].Valid);
-  EXPECT_TRUE(Jobs[2].LayoutInfer) << "layout defaults to infer, like f90yc";
+  EXPECT_FALSE(Jobs[2].Run.LayoutInfer.has_value())
+      << "an unset layout key leaves the profile's default in place";
   EXPECT_FALSE(Jobs[3].Valid);
   EXPECT_NE(Jobs[3].ParseError.find("layout"), std::string::npos)
       << Jobs[3].ParseError;
+  expectUnsetKeyKeepsProfileDefaults("layout");
 }
 
 TEST(Manifest, UniquifiesDuplicateIdsInOrder) {
@@ -469,6 +505,46 @@ TEST(RunBatch, WritesPerJobArtifactsAndResults) {
   ASSERT_TRUE(support::readFile(Dir + "/bad.err", Text));
   EXPECT_EQ(Text, B.Records[3].Error + "\n");
   std::filesystem::remove_all(Dir);
+}
+
+TEST(RunBatch, BaselineProfilesKeepTheirDefaultsLikeF90yc) {
+  // A job that names the cmf or naive profile and leaves fuse/layout unset
+  // compiles as f90yc -profile=NAME does: without fusion or layout
+  // inference. The cycle counts are f90yc's for these two runs.
+  std::string Source;
+  ASSERT_TRUE(support::readFile(
+      std::string(F90Y_SOURCE_DIR) + "/examples/programs/mswe.f90", Source));
+  const std::pair<driver::Profile, double> Cases[] = {
+      {driver::Profile::CMFStyle, 17771.4}, {driver::Profile::Naive, 17995.4}};
+  const std::string Manifest =
+      "{\"id\":\"cmf\",\"source_path\":\"mswe.f90\",\"profile\":\"cmf\"}\n"
+      "{\"id\":\"naive\",\"source_path\":\"mswe.f90\",\"profile\":"
+      "\"naive\"}\n";
+  ArtifactCache Cache;
+  ServeOptions Opts;
+  Opts.Workers = 2;
+  Opts.Cache = &Cache;
+  BatchResult B = runBatch(
+      parseManifest(Manifest,
+                    std::string(F90Y_SOURCE_DIR) + "/examples/programs"),
+      Opts);
+  ASSERT_EQ(B.Records.size(), 2u);
+  for (size_t I = 0; I < 2; ++I) {
+    const auto &[Prof, Cycles] = Cases[I];
+    driver::Compilation C(f90ycOptions(Prof));
+    ASSERT_TRUE(C.compile(Source));
+    driver::ExecutionOptions E;
+    E.Threads = 1;
+    E.OverlapComm = true;
+    driver::Execution Exec(cm2::CostModel{}, E);
+    auto Ref = Exec.run(C.artifacts().Compiled.Program);
+    ASSERT_TRUE(Ref);
+    const JobRecord &R = B.Records[I];
+    ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+    EXPECT_EQ(R.Output, Ref->Output) << R.Id;
+    EXPECT_EQ(R.Report.json(), Ref->json()) << R.Id;
+    EXPECT_NEAR(R.Report.Ledger.total(), Cycles, 1e-6) << R.Id;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,7 @@
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 #include "support/FileIO.h"
+#include "support/Hash.h"
 #include "support/RtStatus.h"
 #include "support/Serialize.h"
 #include "support/SourceLocation.h"
@@ -201,6 +202,47 @@ TEST(StringUtil, IsDigits) {
   EXPECT_FALSE(isDigits(""));
   EXPECT_FALSE(isDigits("12a"));
   EXPECT_FALSE(isDigits("-1"));
+}
+
+TEST(StringUtil, ParseDecimalIsStrict) {
+  uint64_t V = 0;
+  std::string Error;
+  EXPECT_TRUE(parseDecimal("tool", "-n", "42", V, Error));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(parseDecimal("tool", "-n", "18446744073709551615", V, Error));
+  EXPECT_EQ(V, std::numeric_limits<uint64_t>::max());
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1.5", "2x",
+                          "18446744073709551616"}) {
+    V = 7;
+    EXPECT_FALSE(parseDecimal("tool", "-n", Bad, V, Error)) << Bad;
+    EXPECT_EQ(V, 7u) << "a rejected value leaves the output alone";
+    EXPECT_EQ(Error.rfind("tool: -n must be ", 0), 0u) << Error;
+  }
+  EXPECT_FALSE(parseDecimal("", "'pes'", "0", V, Error, 1, 0xffffffffull));
+  EXPECT_EQ(Error, "'pes' must be a positive integer no greater than "
+                   "4294967295, got '0'");
+  EXPECT_FALSE(parseDecimal("", "'pes'", "4294967296", V, Error, 1,
+                            0xffffffffull));
+  EXPECT_TRUE(parseDecimal("", "'pes'", "4294967295", V, Error, 1,
+                           0xffffffffull));
+}
+
+TEST(Hash, Fnv1aPinsTheRepositoryBasis) {
+  // Not textbook FNV-1a (whose basis is 14695981039346656037): these
+  // values key every routine-cache and artifact-cache entry, so they must
+  // never move.
+  support::Fnv1a Empty;
+  Empty.bytes("", 0);
+  EXPECT_EQ(Empty.H, 0x14650fb0739d0383ull);
+  support::Fnv1a A;
+  A.bytes("a", 1);
+  EXPECT_EQ(A.H, 0x44bd8ad473cd9906ull);
+  // str() is the length-prefixed form: u64(size) then the bytes.
+  support::Fnv1a S, Manual;
+  S.str("ab");
+  Manual.u64(2);
+  Manual.bytes("ab", 2);
+  EXPECT_EQ(S.H, Manual.H);
 }
 
 TEST(ThreadPool, ChunkingCoversRangeOnce) {

@@ -45,12 +45,11 @@
 #include "observe/Trace.h"
 #include "serve/Scheduler.h"
 #include "support/FileIO.h"
+#include "support/StringUtil.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -65,40 +64,6 @@ void usage() {
                "  -stats-json=FILE   -metrics=FILE   -trace=FILE\n");
 }
 
-bool parseUint64(const std::string &Flag, const std::string &Text,
-                 uint64_t &Out) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+') {
-    std::fprintf(stderr, "f90y-serve: invalid value '%s' for %s=N\n",
-                 Text.c_str(), Flag.c_str());
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "f90y-serve: invalid value '%s' for %s=N\n",
-                 Text.c_str(), Flag.c_str());
-    return false;
-  }
-  Out = V;
-  return true;
-}
-
-bool parsePositiveCount(const std::string &Flag, const std::string &Text,
-                        unsigned &Out) {
-  uint64_t V = 0;
-  if (!parseUint64(Flag, Text, V))
-    return false;
-  if (V == 0 || V > 0xffffffffull) {
-    std::fprintf(stderr,
-                 "f90y-serve: %s must be a positive count, got '%s'\n",
-                 Flag.c_str(), Text.c_str());
-    return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -106,58 +71,41 @@ int main(int argc, char **argv) {
   serve::ServeOptions Opts;
   bool UseCache = true;
 
+  // The file- and directory-valued flags; an empty name is a usage error.
+  const std::pair<std::string, std::string *> PathFlags[] = {
+      {"-jobs=", &JobsPath},
+      {"-out=", &OutDir},
+      {"-stats-json=", &StatsJsonPath},
+      {"-metrics=", &MetricsPath},
+      {"-trace=", &TracePath}};
+
   for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("-jobs=", 0) == 0) {
-      JobsPath = Arg.substr(6);
-      if (JobsPath.empty()) {
-        std::fprintf(stderr, "f90y-serve: -jobs needs a file name\n");
-        return 2;
-      }
+    const std::string Arg = argv[I];
+    std::string Error;
+    auto PathFlag = std::find_if(
+        std::begin(PathFlags), std::end(PathFlags),
+        [&Arg](const auto &F) { return Arg.rfind(F.first, 0) == 0; });
+    if (PathFlag != std::end(PathFlags)) {
+      const std::string &Prefix = PathFlag->first;
+      *PathFlag->second = Arg.substr(Prefix.size());
+      if (PathFlag->second->empty())
+        Error = "f90y-serve: " + Prefix.substr(0, Prefix.size() - 1) +
+                " needs a name";
     } else if (Arg.rfind("-workers=", 0) == 0) {
-      if (!parsePositiveCount("-workers", Arg.substr(9), Opts.Workers))
-        return 2;
-    } else if (Arg.rfind("-out=", 0) == 0) {
-      OutDir = Arg.substr(5);
-      if (OutDir.empty()) {
-        std::fprintf(stderr, "f90y-serve: -out needs a directory name\n");
-        return 2;
-      }
+      parseDecimal("f90y-serve", "-workers", Arg.substr(9), Opts.Workers,
+                   Error, 1);
     } else if (Arg.rfind("-queue-limit=", 0) == 0) {
-      uint64_t Limit = 0;
-      if (!parseUint64("-queue-limit", Arg.substr(13), Limit))
-        return 2;
-      if (Limit == 0) {
-        std::fprintf(stderr,
-                     "f90y-serve: -queue-limit must be a positive count, "
-                     "got '%s'\n",
-                     Arg.substr(13).c_str());
-        return 2;
-      }
-      Opts.QueueLimit = static_cast<size_t>(Limit);
+      parseDecimal("f90y-serve", "-queue-limit", Arg.substr(13),
+                   Opts.QueueLimit, Error, 1);
     } else if (Arg == "-no-cache") {
       UseCache = false;
-    } else if (Arg.rfind("-stats-json=", 0) == 0) {
-      StatsJsonPath = Arg.substr(12);
-      if (StatsJsonPath.empty()) {
-        std::fprintf(stderr, "f90y-serve: -stats-json needs a file name\n");
-        return 2;
-      }
-    } else if (Arg.rfind("-metrics=", 0) == 0) {
-      MetricsPath = Arg.substr(9);
-      if (MetricsPath.empty()) {
-        std::fprintf(stderr, "f90y-serve: -metrics needs a file name\n");
-        return 2;
-      }
-    } else if (Arg.rfind("-trace=", 0) == 0) {
-      TracePath = Arg.substr(7);
-      if (TracePath.empty()) {
-        std::fprintf(stderr, "f90y-serve: -trace needs a file name\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "f90y-serve: unknown option '%s'\n", Arg.c_str());
       usage();
+      return 2;
+    }
+    if (!Error.empty()) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
       return 2;
     }
   }

@@ -26,10 +26,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "observe/Json.h"
+#include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -183,13 +183,12 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg.rfind("-top=", 0) == 0) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Arg.c_str() + 5, &End, 10);
-      if (End == Arg.c_str() + 5 || *End != '\0' || V == 0) {
-        std::fprintf(stderr, "f90y-trace: invalid value for -top=N\n");
+      std::string Error;
+      if (!f90y::parseDecimal("f90y-trace", "-top", Arg.substr(5), TopN,
+                              Error, 1)) {
+        std::fprintf(stderr, "%s\n", Error.c_str());
         return 2;
       }
-      TopN = static_cast<unsigned>(V);
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "usage: f90y-trace [-top=N] "
                            "[-metrics=metrics.json] [trace.json]\n");
