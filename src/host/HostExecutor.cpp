@@ -43,6 +43,22 @@ void HostExecutor::beginPendingComm(double Cycles,
   RT.commIssue(Cycles, Handles);
 }
 
+void HostExecutor::execComm(
+    const char *Noun, const std::vector<std::string> &Fields,
+    const std::function<support::RtStatus(const std::vector<int> &)> &Op) {
+  std::vector<int> Handles;
+  for (const std::string &Name : Fields) {
+    Handles.push_back(fieldHandle(Name));
+    if (Handles.back() < 0) {
+      error(std::string(Noun) + " references an unallocated array");
+      return;
+    }
+  }
+  const double Before = RT.ledger().CommCycles;
+  if (checkComm(Op(Handles)))
+    beginPendingComm(RT.ledger().CommCycles - Before, Handles);
+}
+
 double HostExecutor::overlapAgainstPending(double Cycles,
                                            const std::vector<int> &Touched) {
   if (!OverlapCommCompute)
@@ -377,7 +393,7 @@ void HostExecutor::exec(const HostStmt *S) {
   if (Failed || !S)
     return;
   if (MaxSteps && ++Steps > MaxSteps) {
-    error("watchdog: run exceeded the -max-steps limit of " +
+    error("watchdog: run exceeded the max_steps limit of " +
           std::to_string(MaxSteps) + " host statements");
     return;
   }
@@ -504,74 +520,47 @@ void HostExecutor::exec(const HostStmt *S) {
     return;
   case HostStmt::Kind::CShift: {
     const auto *C = cast<CShiftStmt>(S);
-    int Dst = fieldHandle(C->dst()), Src = fieldHandle(C->src());
-    if (Dst < 0 || Src < 0) {
-      error("shift references an unallocated array");
-      return;
-    }
-    double Before = L.CommCycles;
-    support::RtStatus St = C->isEndOff()
-                               ? RT.eoshift(Dst, Src, C->dim(), C->shift())
-                               : RT.cshift(Dst, Src, C->dim(), C->shift());
-    if (!checkComm(St))
-      return;
-    if (C->isRealigned() && RT.trace())
-      RT.trace()->cycleInstant(
-          "layout-realigned", "comm", L.total(),
-          {observe::arg("dst", C->dst()), observe::arg("src", C->src()),
-           observe::arg("logical_shift", C->logicalShift()),
-           observe::arg("physical_shift", C->shift())});
-    beginPendingComm(L.CommCycles - Before, {Dst, Src});
+    execComm("shift", {C->dst(), C->src()}, [&](const std::vector<int> &H) {
+      support::RtStatus St = C->isEndOff()
+                                 ? RT.eoshift(H[0], H[1], C->dim(), C->shift())
+                                 : RT.cshift(H[0], H[1], C->dim(), C->shift());
+      if (St.isOk() && C->isRealigned() && RT.trace())
+        RT.trace()->cycleInstant(
+            "layout-realigned", "comm", L.total(),
+            {observe::arg("dst", C->dst()), observe::arg("src", C->src()),
+             observe::arg("logical_shift", C->logicalShift()),
+             observe::arg("physical_shift", C->shift())});
+      return St;
+    });
     return;
   }
   case HostStmt::Kind::MultiShift: {
     const auto *M = cast<MultiShiftStmt>(S);
-    int Src = fieldHandle(M->src());
-    if (Src < 0) {
-      error("multi-shift references an unallocated array");
-      return;
-    }
-    std::vector<runtime::CmRuntime::ShiftSpec> Specs;
-    std::vector<int> Handles{Src};
-    for (const MultiShiftStmt::ShiftReq &R : M->shifts()) {
-      int Dst = fieldHandle(R.Dst);
-      if (Dst < 0) {
-        error("multi-shift references an unallocated array");
-        return;
-      }
-      Specs.push_back({Dst, R.Shift});
-      Handles.push_back(Dst);
-    }
-    double Before = L.CommCycles;
-    if (!checkComm(RT.multiShift(Specs, Src, M->dim(), M->isEndOff())))
-      return;
-    beginPendingComm(L.CommCycles - Before, Handles);
+    std::vector<std::string> Names{M->src()};
+    for (const MultiShiftStmt::ShiftReq &R : M->shifts())
+      Names.push_back(R.Dst);
+    execComm("multi-shift", Names, [&](const std::vector<int> &H) {
+      std::vector<runtime::CmRuntime::ShiftSpec> Specs;
+      for (size_t I = 0; I < M->shifts().size(); ++I)
+        Specs.push_back({H[I + 1], M->shifts()[I].Shift});
+      return RT.multiShift(Specs, H[0], M->dim(), M->isEndOff());
+    });
     return;
   }
   case HostStmt::Kind::SectionCopy: {
     const auto *C = cast<SectionCopyStmt>(S);
-    int Dst = fieldHandle(C->dst()), Src = fieldHandle(C->src());
-    if (Dst < 0 || Src < 0) {
-      error("section copy references an unallocated array");
-      return;
-    }
-    double Before = L.CommCycles;
-    if (!checkComm(RT.sectionCopy(Dst, C->dstSec(), Src, C->srcSec())))
-      return;
-    beginPendingComm(L.CommCycles - Before, {Dst, Src});
+    execComm("section copy", {C->dst(), C->src()},
+             [&](const std::vector<int> &H) {
+               return RT.sectionCopy(H[0], C->dstSec(), H[1], C->srcSec());
+             });
     return;
   }
   case HostStmt::Kind::Transpose: {
     const auto *T = cast<TransposeStmt>(S);
-    int Dst = fieldHandle(T->dst()), Src = fieldHandle(T->src());
-    if (Dst < 0 || Src < 0) {
-      error("transpose references an unallocated array");
-      return;
-    }
-    double Before = L.CommCycles;
-    if (!checkComm(RT.transpose(Dst, Src)))
-      return;
-    beginPendingComm(L.CommCycles - Before, {Dst, Src});
+    execComm("transpose", {T->dst(), T->src()},
+             [&](const std::vector<int> &H) {
+               return RT.transpose(H[0], H[1]);
+             });
     return;
   }
   case HostStmt::Kind::Reduce: {
@@ -596,28 +585,18 @@ void HostExecutor::exec(const HostStmt *S) {
   }
   case HostStmt::Kind::ReduceDim: {
     const auto *R = cast<ReduceDimStmt>(S);
-    int Dst = fieldHandle(R->dst()), Src = fieldHandle(R->src());
-    if (Dst < 0 || Src < 0) {
-      error("partial reduction references an unallocated array");
-      return;
-    }
-    double Before = L.CommCycles;
-    if (!checkComm(RT.reduceAlongDim(R->op(), Dst, Src, R->dim())))
-      return;
-    beginPendingComm(L.CommCycles - Before, {Dst, Src});
+    execComm("partial reduction", {R->dst(), R->src()},
+             [&](const std::vector<int> &H) {
+               return RT.reduceAlongDim(R->op(), H[0], H[1], R->dim());
+             });
     return;
   }
   case HostStmt::Kind::Spread: {
     const auto *Sp = cast<SpreadStmt>(S);
-    int Dst = fieldHandle(Sp->dst()), Src = fieldHandle(Sp->src());
-    if (Dst < 0 || Src < 0) {
-      error("spread references an unallocated array");
-      return;
-    }
-    double Before = L.CommCycles;
-    if (!checkComm(RT.spreadAlongDim(Dst, Src, Sp->dim())))
-      return;
-    beginPendingComm(L.CommCycles - Before, {Dst, Src});
+    execComm("spread", {Sp->dst(), Sp->src()},
+             [&](const std::vector<int> &H) {
+               return RT.spreadAlongDim(H[0], H[1], Sp->dim());
+             });
     return;
   }
   case HostStmt::Kind::If: {

@@ -22,6 +22,7 @@
 #include "support/RtStatus.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <optional>
@@ -150,6 +151,14 @@ private:
     error("unrecovered communication fault: " + St.str());
     return false;
   }
+
+  /// One field-to-field comm statement: resolves \p Fields to handles
+  /// (failing with "<Noun> references an unallocated array"), runs \p Op
+  /// on them, and issues the cycles it charged as the in-flight exchange
+  /// over those handles.
+  void execComm(
+      const char *Noun, const std::vector<std::string> &Fields,
+      const std::function<support::RtStatus(const std::vector<int> &)> &Op);
 
   void exec(const HostStmt *S);
   void execCallPeac(const CallPeacStmt *S);

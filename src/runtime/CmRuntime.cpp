@@ -324,110 +324,93 @@ int64_t CmRuntime::hopDistance(const Geometry &Geo, int64_t FromPE,
   return Fwd < N - Fwd ? Fwd : N - Fwd;
 }
 
-RtStatus CmRuntime::cshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
+template <typename SourceOf>
+CmRuntime::MoveCounts CmRuntime::gather(int Dst, int Src, const SourceOf &Map,
+                                        std::optional<size_t> HopAxis) {
   PeArray &D = field(Dst);
-  PeArray Snapshot;
-  const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
-  const Geometry &Geo = *D.Geo;
-  F90Y_CHECK(S.Geo->Extents == Geo.Extents, "cshift requires a common shape");
-  size_t Axis = static_cast<size_t>(Dim - 1);
-  int64_t N = Geo.Extents[Axis];
+  const PeArray &S = field(Src);
+  const Geometry &DG = *D.Geo, &SG = *S.Geo;
+  // An in-place move reads the source as it stood before the sweep.
+  std::vector<double> Before;
+  if (Dst == Src)
+    Before = S.Data;
+  const double *From = Dst == Src ? Before.data() : S.Data.data();
 
   // Destination PEs are independent, so chunks of them run concurrently.
   // Wire time is accumulated as integer hop counts per chunk and combined
   // in chunk order: the ledger charge is exact and thread-count
   // independent.
-  return runFaultableComm(FaultKind::GridTimeout, "cshift", {Dst}, [&] {
-    struct Part {
-      int64_t LocalElems = 0;
-      int64_t WireHops = 0;
-    };
-    Part Total = support::reduceChunksOrdered<Part>(
-        Pool, Geo.GridPEs,
-        [&](int64_t Begin, int64_t End) {
-          Part P;
-          std::vector<int64_t> Coord;
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            double *Out = D.peBase(PE);
-            for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-              if (!Geo.coordOf(PE, Off, Coord))
-                continue;
-              Coord[Axis] = ((Coord[Axis] + Shift) % N + N) % N;
-              int64_t SrcPE, SrcOff;
-              Geo.locate(Coord, SrcPE, SrcOff);
-              Out[Off] = S.peBase(SrcPE)[SrcOff];
-              if (SrcPE == PE)
-                ++P.LocalElems;
-              else
-                P.WireHops += hopDistance(Geo, PE, SrcPE, Axis);
+  return support::reduceChunksOrdered<MoveCounts>(
+      Pool, DG.GridPEs,
+      [&](int64_t Begin, int64_t End) {
+        MoveCounts C;
+        std::vector<int64_t> Coord, SrcCoord(SG.rank());
+        for (int64_t PE = Begin; PE < End; ++PE) {
+          double *Out = D.peBase(PE);
+          for (int64_t Off = 0; Off < DG.SubgridElems; ++Off) {
+            if (!DG.coordOf(PE, Off, Coord))
+              continue;
+            if (!Map(Coord, SrcCoord)) {
+              Out[Off] = 0.0; // A real in-PE store, charged as local.
+              ++C.FillElems;
+              continue;
             }
+            int64_t SrcPE, SrcOff;
+            SG.locate(SrcCoord, SrcPE, SrcOff);
+            Out[Off] = From[SrcPE * SG.PaddedSubgrid + SrcOff];
+            if (!HopAxis)
+              continue;
+            if (SrcPE == PE)
+              ++C.LocalElems;
+            else
+              C.WireHops += hopDistance(DG, PE, SrcPE, *HopAxis);
           }
-          return P;
-        },
-        [](Part &Acc, const Part &P) {
-          Acc.LocalElems += P.LocalElems;
-          Acc.WireHops += P.WireHops;
-        });
-    noteSweep(Geo, Geo.totalElements(), Total.WireHops);
-    Ledger.CommCycles +=
-        Costs.CommStartupCycles +
-        (Costs.GridLocalPerElem * static_cast<double>(Total.LocalElems) +
-         Costs.GridWirePerElemHop * static_cast<double>(Total.WireHops)) /
-            static_cast<double>(Geo.GridPEs);
-  });
+        }
+        return C;
+      },
+      [](MoveCounts &Acc, const MoveCounts &C) { Acc += C; });
 }
 
-RtStatus CmRuntime::eoshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
-  PeArray &D = field(Dst);
-  PeArray Snapshot;
-  const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
-  const Geometry &Geo = *D.Geo;
+RtStatus CmRuntime::shift(const char *OpName,
+                          const std::vector<ShiftSpec> &Shifts, int Src,
+                          unsigned Dim, bool EndOff) {
+  const Geometry &Geo = *field(Src).Geo;
   size_t Axis = static_cast<size_t>(Dim - 1);
   int64_t N = Geo.Extents[Axis];
+  std::vector<int> DstHandles;
+  DstHandles.reserve(Shifts.size());
+  for (const ShiftSpec &Spec : Shifts) {
+    F90Y_CHECK(field(Spec.Dst).Geo->Extents == Geo.Extents,
+               (std::string(OpName) + " requires a common shape").c_str());
+    DstHandles.push_back(Spec.Dst);
+  }
 
-  // Same destination-parallel sweep and exact hop accounting as cshift.
-  // Boundary positions shifted past the edge receive the EOSHIFT fill
-  // value: a real in-PE store, charged like any other local element.
-  return runFaultableComm(FaultKind::GridTimeout, "eoshift", {Dst}, [&] {
-    struct Part {
-      int64_t LocalElems = 0;
-      int64_t WireHops = 0;
-      int64_t FillElems = 0;
-    };
-    Part Total = support::reduceChunksOrdered<Part>(
-        Pool, Geo.GridPEs,
-        [&](int64_t Begin, int64_t End) {
-          Part P;
-          std::vector<int64_t> Coord;
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            double *Out = D.peBase(PE);
-            for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-              if (!Geo.coordOf(PE, Off, Coord))
-                continue;
-              int64_t C = Coord[Axis] + Shift;
-              if (C < 0 || C >= N) {
-                Out[Off] = 0.0;
-                ++P.FillElems;
-                continue;
-              }
-              Coord[Axis] = C;
-              int64_t SrcPE, SrcOff;
-              Geo.locate(Coord, SrcPE, SrcOff);
-              Out[Off] = S.peBase(SrcPE)[SrcOff];
-              if (SrcPE == PE)
-                ++P.LocalElems;
-              else
-                P.WireHops += hopDistance(Geo, PE, SrcPE, Axis);
-            }
-          }
-          return P;
-        },
-        [](Part &Acc, const Part &P) {
-          Acc.LocalElems += P.LocalElems;
-          Acc.WireHops += P.WireHops;
-          Acc.FillElems += P.FillElems;
-        });
-    noteSweep(Geo, Geo.totalElements(), Total.WireHops);
+  // Every clause's data moves with its own gather, in clause order (an
+  // aliased destination behaves exactly like the unfused sequence), but
+  // the grid pays the fixed communication startup once. Positions shifted
+  // past the edge by an end-off shift receive the EOSHIFT fill. A fault
+  // retries or rolls back the whole exchange - all destinations together
+  // - as one operation.
+  return runFaultableComm(FaultKind::GridTimeout, OpName, DstHandles, [&] {
+    MoveCounts Total;
+    for (const ShiftSpec &Spec : Shifts) {
+      const int64_t Shift = Spec.Shift;
+      Total += gather(
+          Spec.Dst, Src,
+          [&](const std::vector<int64_t> &To, std::vector<int64_t> &From) {
+            From = To;
+            int64_t Pos = To[Axis] + Shift;
+            if (!EndOff)
+              Pos = (Pos % N + N) % N;
+            else if (Pos < 0 || Pos >= N)
+              return false;
+            From[Axis] = Pos;
+            return true;
+          },
+          Axis);
+    }
+    noteSweep(Geo, Geo.totalElements() * static_cast<int64_t>(Shifts.size()),
+              Total.WireHops);
     Ledger.CommCycles +=
         Costs.CommStartupCycles +
         (Costs.GridLocalPerElem *
@@ -437,102 +420,27 @@ RtStatus CmRuntime::eoshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
   });
 }
 
+RtStatus CmRuntime::cshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
+  return shift("cshift", {{Dst, Shift}}, Src, Dim, /*EndOff=*/false);
+}
+
+RtStatus CmRuntime::eoshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
+  return shift("eoshift", {{Dst, Shift}}, Src, Dim, /*EndOff=*/true);
+}
+
 RtStatus CmRuntime::multiShift(const std::vector<ShiftSpec> &Shifts, int Src,
                                unsigned Dim, bool EndOff) {
   F90Y_CHECK(!Shifts.empty(), "multiShift requires at least one shift");
-  const Geometry &Geo = *field(Src).Geo;
-  size_t Axis = static_cast<size_t>(Dim - 1);
-  int64_t N = Geo.Extents[Axis];
-  std::vector<int> DstHandles;
-  DstHandles.reserve(Shifts.size());
-  for (const ShiftSpec &Spec : Shifts) {
-    F90Y_CHECK(field(Spec.Dst).Geo->Extents == Geo.Extents,
-               "multiShift requires a common shape");
-    DstHandles.push_back(Spec.Dst);
-  }
   // Exchanges saved relative to the unfused sequence (counted once per
   // call, not per fault retry: retries repeat work, not fusions).
   if (Metrics && Shifts.size() > 1)
     Metrics->count("comm.coalesced",
                    static_cast<uint64_t>(Shifts.size() - 1));
-
-  // One coalesced exchange: every clause's data still moves with exact
-  // cshift/eoshift sweeps applied in clause order (an aliased destination
-  // behaves exactly like the unfused sequence), but the grid pays the
-  // fixed communication startup once. A fault retries or rolls back the
-  // whole exchange - all destinations together - as one operation.
-  return runFaultableComm(
-      FaultKind::GridTimeout, "multi-shift", DstHandles, [&] {
-        struct Part {
-          int64_t LocalElems = 0;
-          int64_t WireHops = 0;
-          int64_t FillElems = 0;
-        };
-        Part Total;
-        for (const ShiftSpec &Spec : Shifts) {
-          PeArray &D = field(Spec.Dst);
-          PeArray Snapshot;
-          const PeArray &S =
-              Spec.Dst == Src ? (Snapshot = field(Src)) : field(Src);
-          const int64_t Shift = Spec.Shift;
-          Part P = support::reduceChunksOrdered<Part>(
-              Pool, Geo.GridPEs,
-              [&](int64_t Begin, int64_t End) {
-                Part C;
-                std::vector<int64_t> Coord;
-                for (int64_t PE = Begin; PE < End; ++PE) {
-                  double *Out = D.peBase(PE);
-                  for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-                    if (!Geo.coordOf(PE, Off, Coord))
-                      continue;
-                    int64_t Pos = Coord[Axis] + Shift;
-                    if (EndOff) {
-                      if (Pos < 0 || Pos >= N) {
-                        Out[Off] = 0.0;
-                        ++C.FillElems;
-                        continue;
-                      }
-                    } else {
-                      Pos = (Pos % N + N) % N;
-                    }
-                    Coord[Axis] = Pos;
-                    int64_t SrcPE, SrcOff;
-                    Geo.locate(Coord, SrcPE, SrcOff);
-                    Out[Off] = S.peBase(SrcPE)[SrcOff];
-                    if (SrcPE == PE)
-                      ++C.LocalElems;
-                    else
-                      C.WireHops += hopDistance(Geo, PE, SrcPE, Axis);
-                  }
-                }
-                return C;
-              },
-              [](Part &Acc, const Part &Piece) {
-                Acc.LocalElems += Piece.LocalElems;
-                Acc.WireHops += Piece.WireHops;
-                Acc.FillElems += Piece.FillElems;
-              });
-          Total.LocalElems += P.LocalElems;
-          Total.WireHops += P.WireHops;
-          Total.FillElems += P.FillElems;
-        }
-        noteSweep(Geo,
-                  Geo.totalElements() * static_cast<int64_t>(Shifts.size()),
-                  Total.WireHops);
-        Ledger.CommCycles +=
-            Costs.CommStartupCycles +
-            (Costs.GridLocalPerElem *
-                 static_cast<double>(Total.LocalElems + Total.FillElems) +
-             Costs.GridWirePerElemHop * static_cast<double>(Total.WireHops)) /
-                static_cast<double>(Geo.GridPEs);
-      });
+  return shift("multi-shift", Shifts, Src, Dim, EndOff);
 }
 
 RtStatus CmRuntime::transpose(int Dst, int Src) {
-  PeArray &D = field(Dst);
-  PeArray Snapshot;
-  const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
-  const Geometry &DG = *D.Geo, &SG = *S.Geo;
+  const Geometry &DG = *field(Dst).Geo, &SG = *field(Src).Geo;
   F90Y_CHECK(DG.rank() == 2 && SG.rank() == 2, "transpose requires rank 2");
   // The destination must have the transposed extents, or the coordinate
   // swap below would ask SG.locate for out-of-range positions and read
@@ -548,22 +456,12 @@ RtStatus CmRuntime::transpose(int Dst, int Src) {
             std::to_string(SG.Extents[1]));
 
   return runFaultableComm(FaultKind::RouterDrop, "transpose", {Dst}, [&] {
-    support::parallelChunks(
-        Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
-          std::vector<int64_t> Coord, SrcCoord(2);
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            double *Out = D.peBase(PE);
-            for (int64_t Off = 0; Off < DG.SubgridElems; ++Off) {
-              if (!DG.coordOf(PE, Off, Coord))
-                continue;
-              SrcCoord[0] = Coord[1];
-              SrcCoord[1] = Coord[0];
-              int64_t SrcPE, SrcOff;
-              SG.locate(SrcCoord, SrcPE, SrcOff);
-              Out[Off] = S.peBase(SrcPE)[SrcOff];
-            }
-          }
-        });
+    gather(Dst, Src,
+           [](const std::vector<int64_t> &To, std::vector<int64_t> &From) {
+             From[0] = To[1];
+             From[1] = To[0];
+             return true;
+           });
     noteSweep(DG, DG.totalElements(), /*Hops=*/0);
     // Transpose goes through the router; charge the per-element cost
     // spread across the machine (all PEs inject concurrently).
@@ -868,39 +766,27 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
 }
 
 RtStatus CmRuntime::spreadAlongDim(int Dst, int Src, unsigned Dim) {
-  PeArray &D = field(Dst);
-  const PeArray &S = field(Src);
-  const Geometry &DG = *D.Geo, &SG = *S.Geo;
+  const Geometry &DG = *field(Dst).Geo, &SG = *field(Src).Geo;
   size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < DG.rank() && DG.rank() == SG.rank() + 1,
              "spreadAlongDim rank mismatch");
 
-  // Pure broadcast: destination PEs only read the source, so chunks of
-  // them run concurrently with no accounting to reduce.
+  // Pure broadcast: each destination reads the source with the spread
+  // axis dropped.
   return runFaultableComm(FaultKind::RouterDrop, "spread", {Dst}, [&] {
-  support::parallelChunks(
-      Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
-        std::vector<int64_t> Coord, SC(SG.rank());
-        for (int64_t PE = Begin; PE < End; ++PE) {
-          double *Out = D.peBase(PE);
-          for (int64_t Off = 0; Off < DG.SubgridElems; ++Off) {
-            if (!DG.coordOf(PE, Off, Coord))
-              continue;
-            for (size_t K = 0, In = 0; K < DG.rank(); ++K)
-              if (K != Axis)
-                SC[In++] = Coord[K];
-            int64_t SPE, SOff;
-            SG.locate(SC, SPE, SOff);
-            Out[Off] = S.peBase(SPE)[SOff];
-          }
-        }
-      });
-  noteSweep(DG, DG.totalElements(), /*Hops=*/0);
-  // Broadcast through the router (each source element fans out).
-  Ledger.CommCycles +=
-      Costs.CommStartupCycles +
-      Costs.RouterPerElem * static_cast<double>(DG.totalElements()) /
-          static_cast<double>(DG.GridPEs > 0 ? DG.GridPEs : 1);
+    gather(Dst, Src,
+           [Axis](const std::vector<int64_t> &To, std::vector<int64_t> &From) {
+             for (size_t K = 0, In = 0; K < To.size(); ++K)
+               if (K != Axis)
+                 From[In++] = To[K];
+             return true;
+           });
+    noteSweep(DG, DG.totalElements(), /*Hops=*/0);
+    // Broadcast through the router (each source element fans out).
+    Ledger.CommCycles +=
+        Costs.CommStartupCycles +
+        Costs.RouterPerElem * static_cast<double>(DG.totalElements()) /
+            static_cast<double>(DG.GridPEs > 0 ? DG.GridPEs : 1);
   });
 }
 

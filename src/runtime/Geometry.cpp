@@ -69,18 +69,13 @@ bool Geometry::coordOf(int64_t PE, int64_t Off,
   if (Off >= SubgridElems)
     return false; // Vector-width padding.
   Coord.resize(Extents.size());
-  // Decompose PE and Off (both row-major).
-  std::vector<int64_t> GC(Extents.size()), OC(Extents.size());
+  // Decompose PE and Off (both row-major) straight into Coord.
   for (size_t D = Extents.size(); D-- > 0;) {
-    GC[D] = PE % Grid[D];
-    PE /= Grid[D];
-    OC[D] = Off % Sub[D];
-    Off /= Sub[D];
-  }
-  for (size_t D = 0; D < Extents.size(); ++D) {
-    Coord[D] = GC[D] * Sub[D] + OC[D];
+    Coord[D] = PE % Grid[D] * Sub[D] + Off % Sub[D];
     if (Coord[D] >= Extents[D])
       return false; // Block padding at the array edge.
+    PE /= Grid[D];
+    Off /= Sub[D];
   }
   return true;
 }

@@ -343,6 +343,16 @@ TEST_F(RuntimeTest, EoshiftLedgerIsExactIncludingFills) {
                    Costs.CommStartupCycles + (50.0 + 9.6 * 14.0) / 8.0);
 }
 
+TEST(RuntimeDeathTest, EoshiftRequiresCommonShape) {
+  // Like cshift and multiShift, eoshift moves between fields of one
+  // shape; a smaller source would otherwise be read past its storage.
+  cm2::CostModel Costs = machineWith(8);
+  CmRuntime RT(Costs);
+  int Src = RT.allocField(RT.getGeometry({4}, {1}), ElemKind::Real);
+  int Dst = RT.allocField(RT.getGeometry({64}, {1}), ElemKind::Real);
+  EXPECT_DEATH(RT.eoshift(Dst, Src, 1, 1), "eoshift requires a common shape");
+}
+
 TEST_F(RuntimeTest, MultiShiftMatchesUnfusedShifts) {
   CmRuntime Ref(Costs); // Unfused reference on an identical machine.
   auto fill = [](CmRuntime &R) {

@@ -385,6 +385,8 @@ TEST(RunBatch, ClassifiesTheMixedWorkload) {
   EXPECT_EQ(B.Records[5].Status, JobStatus::Timeout);
   EXPECT_EQ(B.Records[5].Attempts, 1u);
   EXPECT_NE(B.Records[5].Error.find("watchdog"), std::string::npos);
+  // It names the setting as the job spelled it, not as f90yc's flag.
+  EXPECT_NE(B.Records[5].Error.find("max_steps"), std::string::npos);
 
   // A permanent fault burns every retry then lands as a runtime error.
   EXPECT_EQ(B.Records[6].Status, JobStatus::RuntimeError);
